@@ -85,22 +85,13 @@ impl Policy for EnergyAwareScheduler {
     }
 
     fn schedule(&mut self, view: &SchedView<'_>, queue: &[Job]) -> Vec<Decision> {
-        let mut inner = EasyBackfill;
-        inner
-            .schedule(view, queue)
+        EasyBackfill::select(view, queue)
             .into_iter()
-            .map(|d| {
-                let Decision::Start { job: id, .. } = d;
-                let f = queue
-                    .iter()
-                    .find(|j| j.id == id)
-                    .map(|j| self.pick_frequency(view, j));
-                Decision::Start {
-                    job: id,
-                    nodes_override: None,
-                    freq_ghz: f,
-                    node_cap_watts: None,
-                }
+            .map(|i| Decision::Start {
+                job: queue[i].id,
+                nodes_override: None,
+                freq_ghz: Some(self.pick_frequency(view, &queue[i])),
+                node_cap_watts: None,
             })
             .collect()
     }

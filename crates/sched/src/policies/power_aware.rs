@@ -41,15 +41,11 @@ impl Policy for PowerAwareBackfill {
     fn schedule(&mut self, view: &SchedView<'_>, queue: &[Job]) -> Vec<Decision> {
         // Delegate job *selection* to EASY, then filter by power and
         // annotate with frequencies.
-        let mut inner = EasyBackfill;
-        let candidates = inner.schedule(view, queue);
         let mut headroom = view.power_headroom_watts - self.margin_watts;
         let mut out = Vec::new();
-        for d in candidates {
-            let Decision::Start { job: id, .. } = d;
-            let Some(job) = queue.iter().find(|j| j.id == id) else {
-                continue;
-            };
+        for i in EasyBackfill::select(view, queue) {
+            let job = &queue[i];
+            let id = job.id;
             let predicted = (view.predicted_watts_per_node)(job);
             let need = predicted * f64::from(job.nodes);
             if need > view.power_budget_watts {

@@ -24,8 +24,8 @@ fn workload(nodes: u32, seed: u64, days: f64) -> Vec<Job> {
 }
 
 fn run(policy: &mut dyn Policy, budget: Option<f64>) -> SimOutcome {
-    // Debug-mode conservative backfilling is quadratic in queue depth;
-    // half a day on 64 nodes exercises everything while staying fast.
+    // Half a day on 64 nodes exercises every policy while staying fast
+    // in debug builds.
     let nodes = 64u32;
     let horizon = SimTime::from_hours(12.0);
     let mut config = EngineConfig::new(horizon);
@@ -120,4 +120,25 @@ fn deterministic_across_policy_reuse() {
     let b = run(&mut p, None);
     assert_eq!(a.completed, b.completed);
     assert!((a.energy_joules - b.energy_joules).abs() < 1e-6);
+}
+
+#[test]
+fn conservative_runs_around_a_job_wider_than_the_machine() {
+    // One 1,000-node job among 20 on a 64-node machine can never run; it
+    // must not keep the other 19 from completing.
+    let mut jobs = vec![JobBuilder::new(0).nodes(1000).build()];
+    jobs.extend((1..20u32).map(|i| {
+        JobBuilder::new(u64::from(i))
+            .nodes(1 + i * 7 % 32)
+            .submit(SimTime::from_secs(f64::from(i) * 600.0))
+            .build()
+    }));
+    let out = ClusterSim::new(
+        system(64).build(),
+        jobs,
+        &mut ConservativeBackfill,
+        EngineConfig::new(SimTime::from_days(2.0)),
+    )
+    .run();
+    assert_eq!(out.completed, 19);
 }
