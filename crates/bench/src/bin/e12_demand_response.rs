@@ -10,9 +10,7 @@
 //!
 //! The DR event is defined once, as an `epa-grid` [`DrContract`]; the
 //! engine consumes it through the contract's budget-schedule adapter,
-//! which is asserted byte-identical to the legacy inline schedule this
-//! bin used to build by hand, and the settlement comes from the
-//! contract's penalty accounting (asserted equal to the legacy loop).
+//! and the settlement comes from the contract's penalty accounting.
 //!
 //! Expected shape: ignoring leaves hours of violation; admission-only
 //! converges slowly (running jobs drain); emergency compliance is fast
@@ -49,15 +47,7 @@ fn main() {
     };
     contract.validate().expect("well-formed contract");
 
-    // The contract's budget-schedule adapter reproduces the legacy
-    // inline schedule exactly — same times, same watts, byte-identical
-    // engine behaviour.
     let schedule = contract.budget_schedule(nominal);
-    assert_eq!(
-        schedule,
-        vec![(event.start, nominal * 0.5), (event.end, nominal)],
-        "DR adapter must match the legacy inline schedule"
-    );
 
     let mut table = ResultsTable::new(&[
         "posture",
@@ -89,24 +79,9 @@ fn main() {
         }
         let mut policy = EasyBackfill;
         let out = ClusterSim::new(system.clone(), jobs.clone(), &mut policy, config).run();
-        // Settle the window through the contract; the legacy inline loop
-        // is kept as the cross-check the accounting must reproduce.
+        // Settle the window through the contract.
         let acc = contract.account(nominal, &out.power_trace);
-        let (mut legacy_violation, mut legacy_excess) = (0.0, 0.0);
-        for w in out.power_trace.windows(2) {
-            let (t, watts) = w[0];
-            let dt = w[1].0 - t;
-            if t >= event.start.as_secs() && t < event.end.as_secs() && watts > nominal * 0.5 {
-                legacy_violation += dt;
-                legacy_excess += (watts - nominal * 0.5) * dt;
-            }
-        }
         let settled = &acc.events[0];
-        assert!(
-            (settled.violation_secs - legacy_violation).abs() < 1e-6
-                && (settled.excess_kwh - legacy_excess / 3.6e6).abs() < 1e-9,
-            "contract settlement must match the legacy accounting loop"
-        );
         let finished_ok = out
             .jobs
             .iter()

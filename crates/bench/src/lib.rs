@@ -38,7 +38,11 @@ use serde::Serialize;
 /// follow-the-renewables Pareto fronts (cost / carbon / bounded
 /// slowdown with `pareto_optimal` flags) and the nine-site federation
 /// objective sweep (cost / carbon / mean deferral).
-pub const BENCH_SCHEMA_VERSION: u32 = 6;
+///
+/// v7: removed the `shards` section from `BENCH_engine.json` (the
+/// partitioned engine is gone); the 65,536-node scaling guard runs on
+/// the single event queue.
+pub const BENCH_SCHEMA_VERSION: u32 = 7;
 
 /// Peak resident set size of this process in bytes (`VmHWM` from
 /// `/proc/self/status`), or 0 where that interface is unavailable. The

@@ -143,39 +143,6 @@ impl Allocator {
             .map(|(i, _)| NodeId(i as u32))
     }
 
-    /// The maximal free runs intersected with `[lo, hi)`, as
-    /// `(start, len)` pairs in ascending order — a shard's view of its
-    /// slice of the free-run structure. A run straddling the interval
-    /// boundary is clipped to it. O(log n + runs-in-range).
-    #[must_use]
-    pub fn free_runs_in(&self, lo: u32, hi: u32) -> Vec<(u32, u32)> {
-        if lo >= hi {
-            return Vec::new();
-        }
-        let mut out = Vec::new();
-        // A run starting before `lo` may still reach into the interval.
-        if let Some((&start, &len)) = self.free_runs.range(..lo).next_back() {
-            if start + len > lo {
-                out.push((lo, (start + len).min(hi) - lo));
-            }
-        }
-        for (&start, &len) in self.free_runs.range(lo..hi) {
-            out.push((start, len.min(hi - start)));
-        }
-        out
-    }
-
-    /// Number of free nodes with ids in `[lo, hi)`. Summed over a shard
-    /// partition this reproduces [`Allocator::free_count`] exactly — the
-    /// cross-check a sharded engine's invariant checker runs.
-    #[must_use]
-    pub fn free_count_in(&self, lo: u32, hi: u32) -> usize {
-        self.free_runs_in(lo, hi)
-            .iter()
-            .map(|&(_, len)| len as usize)
-            .sum()
-    }
-
     // ---- snapshot -----------------------------------------------------
 
     /// Encodes the allocator's dynamic state: free runs, busy flags, and
@@ -538,27 +505,6 @@ mod tests {
         a.release(&got);
         assert_eq!(a.free_count(), 8);
         assert_eq!(a.busy_count(), 0);
-    }
-
-    #[test]
-    fn free_runs_in_clips_and_partitions() {
-        let mut a = Allocator::new(16, AllocStrategy::FirstFit, dragonfly());
-        // Occupy 0..4 and 6..9, leaving free runs {4,5} and {9..16}.
-        let first = a.allocate(4).unwrap();
-        let _hole = a.allocate(2).unwrap(); // 4,5
-        let second = a.allocate(3).unwrap(); // 6,7,8
-        a.release(&_hole);
-        assert_eq!(a.free_runs_in(0, 16), vec![(4, 2), (9, 7)]);
-        // A window cutting through the second run clips it on both sides.
-        assert_eq!(a.free_runs_in(10, 12), vec![(10, 2)]);
-        // Shard-partitioned counts sum to the global free count.
-        let total: usize = [(0u32, 8u32), (8, 16)]
-            .iter()
-            .map(|&(lo, hi)| a.free_count_in(lo, hi))
-            .sum();
-        assert_eq!(total, a.free_count());
-        assert_eq!(a.free_count_in(0, 0), 0);
-        drop((first, second));
     }
 
     #[test]

@@ -18,7 +18,6 @@ pub mod alloc;
 pub mod error;
 pub mod layout;
 pub mod node;
-pub mod shard;
 pub mod system;
 pub mod topology;
 
@@ -26,6 +25,5 @@ pub use alloc::{AllocStrategy, Allocator};
 pub use error::ClusterError;
 pub use layout::{ChillerId, FacilityLayout, MaintenanceWindow, PduId};
 pub use node::{CpuSpec, NodeId, NodeSpec};
-pub use shard::ShardTopology;
 pub use system::{System, SystemSpec};
 pub use topology::Topology;

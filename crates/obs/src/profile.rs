@@ -24,8 +24,9 @@ pub enum Scope {
     Allocator = 2,
     /// Power metering / telemetry ticks.
     Meter = 3,
-    /// Shard-local event windows: resolving and applying the shard queues
-    /// between two global (barrier) events.
+    /// Job phase changes and node shutdown completions. The name dates
+    /// from the retired sharded engine, which drained these events in
+    /// per-shard windows; it stays so existing reports keep their keys.
     ShardDrain = 4,
 }
 

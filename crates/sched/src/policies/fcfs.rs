@@ -2,7 +2,9 @@
 //!
 //! The strict baseline: jobs start in queue order; the head job blocks
 //! everything behind it until it fits. Every survey-cited evaluation of
-//! backfilling (Mu'alem & Feitelson) measures against this.
+//! backfilling (Mu'alem & Feitelson) measures against this. A job wider
+//! than the whole machine can never fit, so it is passed over instead
+//! of blocking the queue forever.
 
 use crate::view::{Decision, Policy, SchedView};
 use epa_workload::job::Job;
@@ -20,6 +22,9 @@ impl Policy for Fcfs {
         let mut free = view.free_nodes;
         let mut out = Vec::new();
         for job in queue {
+            if job.nodes > view.total_nodes {
+                continue;
+            }
             if job.nodes <= free {
                 free -= job.nodes;
                 out.push(Decision::start(job.id));

@@ -1,20 +1,18 @@
 //! Crash-safe engine snapshots.
 //!
 //! A [`Snapshot`] is the full mutable state of a
-//! [`ClusterSim`](crate::engine::ClusterSim) frozen at a window barrier —
-//! the point between two global events where no shard window is in
-//! flight. It is a self-describing binary frame (see
+//! [`ClusterSim`](crate::engine::ClusterSim) frozen between two events.
+//! It is a self-describing binary frame (see
 //! [`epa_simcore::snap`]): magic, schema version, payload length, and an
 //! FNV-1a-64 checksum guard the payload; named section markers frame each
 //! component's state so a decode failure reports *which* subsystem's
 //! bytes went bad.
 //!
-//! The determinism contract: a run killed at any barrier and resumed from
-//! its latest snapshot produces a [`SimOutcome`](crate::engine::SimOutcome)
-//! and an exported decision trace byte-identical to the uninterrupted
-//! run, at any shard count × thread count the snapshot's shard layout
-//! admits (thread count is free to change across the boundary; the shard
-//! count must match the snapshot's, because mailbox state is per-shard).
+//! The determinism contract: a run killed between any two events and
+//! resumed from its latest snapshot produces a
+//! [`SimOutcome`](crate::engine::SimOutcome) and an exported decision
+//! trace byte-identical to the uninterrupted run, at any thread count
+//! (the thread count is free to change across the boundary).
 //!
 //! Configuration is deliberately *not* stored: the caller re-supplies the
 //! system, workload, policy, and [`EngineConfig`](crate::engine::EngineConfig)
@@ -34,8 +32,11 @@ use std::path::Path;
 /// the `control` section (control-plane knob state, so a learned
 /// controller's overrides survive a crash/resume); v4 added the `grid`
 /// section (facility-twin cursors and cost/carbon/DR accumulators, plus
-/// two new wire tags for DR-window events in the global queue).
-pub const SNAPSHOT_SCHEMA_VERSION: u32 = 4;
+/// two new wire tags for DR-window events in the global queue); v5
+/// dropped the `shards` section and the local-event counter, moving
+/// phase changes and shutdown completions into the one event queue as
+/// wire tags 10 and 11.
+pub const SNAPSHOT_SCHEMA_VERSION: u32 = 5;
 
 /// A frozen engine state: an owned, framed, checksummed byte buffer.
 ///

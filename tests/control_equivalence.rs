@@ -1,8 +1,12 @@
 //! Control-plane equivalence: the engineered adapters routed through the
-//! unified `ControlAction` apply path ([`ControlMode::Adapters`], the
-//! default) produce **byte-identical** outcomes and JSONL traces to the
-//! pre-refactor inline dispatch ([`ControlMode::DirectLegacy`]), across
-//! shard counts {1, 4} × thread counts {1, 4}.
+//! unified `ControlAction` apply path produce **byte-identical** outcomes
+//! and JSONL traces to the pre-refactor inline dispatch.
+//!
+//! The inline dispatch no longer exists. Its output for the scenario
+//! below is frozen as data: FNV-1a-64 fingerprints (and byte lengths) of
+//! the serialized outcome and of the exported trace, recorded from the
+//! inline path for seeds `0xC0` and 1–8. The adapter path must reproduce
+//! every one of them at thread counts {1, 4}.
 //!
 //! The scenario exercises every adapter: a power budget with scheduled
 //! resizes (budget adapter), idle shutdown (shutdown adapter), emergency
@@ -13,15 +17,30 @@ use epa_cluster::node::NodeSpec;
 use epa_cluster::system::{System, SystemSpec};
 use epa_cluster::topology::Topology;
 use epa_obs::{trace_to_jsonl, TraceConfig};
-use epa_sched::control::ControlMode;
 use epa_sched::emergency::EmergencyPolicy;
 use epa_sched::engine::{ClusterSim, EngineConfig};
 use epa_sched::limiting::JobLimitGate;
 use epa_sched::policies::backfill::EasyBackfill;
 use epa_sched::shutdown::ShutdownPolicy;
+use epa_simcore::snap::Fingerprint;
 use epa_simcore::time::{SimDuration, SimTime};
 use epa_workload::generator::{WorkloadGenerator, WorkloadParams};
 use proptest::prelude::*;
+
+/// What the inline dispatch produced per seed: `(seed, outcome
+/// fingerprint, outcome bytes, trace fingerprint, trace bytes)`.
+#[rustfmt::skip]
+const FROZEN_LEGACY: [(u64, u64, usize, u64, usize); 9] = [
+    (0xC0, 0x1e86366c99088faa, 113343, 0x20fe9f95b09cc3c4, 492642),
+    (1, 0x73332160931dcfb6, 113064, 0xe4b31af2b5875c65, 477794),
+    (2, 0x2012c4beec9efd6b, 109116, 0x4f066d8c2c366e2b, 480909),
+    (3, 0x003d1cf028cd69b3, 119923, 0xbd963b7a6cbb4c1e, 508720),
+    (4, 0xa4d80be5ff6e8257, 99098, 0x3fdf0f7ed9137dde, 454920),
+    (5, 0x869465880b45bde7, 112787, 0x2c3bebef3fefbb8e, 481256),
+    (6, 0xde20ec3261fded48, 117274, 0x6cffd4d4b5277e78, 480571),
+    (7, 0x0ddcce48661898e6, 100448, 0x3f96756e94cf8683, 389852),
+    (8, 0xaaa13ddbfd9d91a9, 112090, 0xc2390f66e717b5d2, 476479),
+];
 
 fn system() -> System {
     SystemSpec {
@@ -36,12 +55,10 @@ fn system() -> System {
 }
 
 /// Serialized (outcome, trace) for one run of the full-feature scenario.
-fn outcome_and_trace(seed: u64, mode: ControlMode, shards: u32) -> (String, String) {
+fn outcome_and_trace(seed: u64) -> (String, String) {
     let horizon = SimTime::from_days(2.0);
     let jobs = WorkloadGenerator::new(WorkloadParams::typical(32, seed)).generate(horizon, 0);
     let mut config = EngineConfig::new(horizon);
-    config.control_mode = mode;
-    config.shards = Some(shards);
     config.trace = TraceConfig::all();
     config.power_budget_watts = Some(32.0 * 290.0 * 0.7);
     config.budget_schedule = vec![
@@ -73,34 +90,38 @@ fn outcome_and_trace(seed: u64, mode: ControlMode, shards: u32) -> (String, Stri
     )
 }
 
+/// Fingerprint and byte length of one serialized artifact.
+fn digest(s: &str) -> (u64, usize) {
+    (Fingerprint::new().bytes(s.as_bytes()).finish(), s.len())
+}
+
+/// Asserts that the adapter path reproduces the frozen inline output
+/// for one frozen seed at one thread count.
+fn assert_matches_frozen(frozen: &(u64, u64, usize, u64, usize), threads: usize) {
+    let &(seed, out_fp, out_len, trace_fp, trace_len) = frozen;
+    let (out, trace) = rayon::with_num_threads(threads, || outcome_and_trace(seed));
+    assert_eq!(
+        digest(&out),
+        (out_fp, out_len),
+        "seed {seed:#x}: outcome drifted from the inline dispatch at {threads} threads"
+    );
+    assert_eq!(
+        digest(&trace),
+        (trace_fp, trace_len),
+        "seed {seed:#x}: trace drifted from the inline dispatch at {threads} threads"
+    );
+}
+
 #[test]
-fn adapters_match_legacy_across_shards_and_threads() {
-    let (base_out, base_trace) =
-        rayon::with_num_threads(1, || outcome_and_trace(0xC0, ControlMode::DirectLegacy, 1));
+fn adapters_match_frozen_legacy_across_threads() {
+    let (out, trace) = outcome_and_trace(0xC0);
     assert!(
-        base_trace.contains("emergency_breach") || base_out.contains("emergency_kills"),
+        trace.contains("emergency_breach") || out.contains("emergency_kills"),
         "scenario should exercise the emergency path"
     );
-    for shards in [1u32, 4] {
-        for threads in [1usize, 4] {
-            let (out, trace) = rayon::with_num_threads(threads, || {
-                outcome_and_trace(0xC0, ControlMode::Adapters, shards)
-            });
-            assert!(
-                out == base_out,
-                "outcome drifted: adapters vs legacy at {shards} shards / {threads} threads"
-            );
-            assert!(
-                trace == base_trace,
-                "trace drifted: adapters vs legacy at {shards} shards / {threads} threads"
-            );
-            let (lout, ltrace) = rayon::with_num_threads(threads, || {
-                outcome_and_trace(0xC0, ControlMode::DirectLegacy, shards)
-            });
-            assert!(
-                lout == base_out && ltrace == base_trace,
-                "legacy mode itself drifted at {shards} shards / {threads} threads"
-            );
+    for threads in [1usize, 4] {
+        for frozen in &FROZEN_LEGACY {
+            assert_matches_frozen(frozen, threads);
         }
     }
 }
@@ -108,15 +129,10 @@ fn adapters_match_legacy_across_shards_and_threads() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Property form: for random seeds, the adapter path and the legacy
-    /// path agree byte-for-byte on outcome and trace at 1 and 4 shards.
+    /// Property form: a seed drawn at random from the frozen set
+    /// reproduces the inline dispatch's outcome and trace.
     #[test]
-    fn adapters_equiv_legacy_random_seeds(seed in 0u64..1_000) {
-        let (base_out, base_trace) = outcome_and_trace(seed, ControlMode::DirectLegacy, 1);
-        for shards in [1u32, 4] {
-            let (out, trace) = outcome_and_trace(seed, ControlMode::Adapters, shards);
-            prop_assert!(out == base_out, "seed {seed}: outcome drifted at {shards} shards");
-            prop_assert!(trace == base_trace, "seed {seed}: trace drifted at {shards} shards");
-        }
+    fn adapters_equiv_legacy_random_seeds(i in 0usize..FROZEN_LEGACY.len()) {
+        assert_matches_frozen(&FROZEN_LEGACY[i], 1);
     }
 }

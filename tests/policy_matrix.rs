@@ -122,10 +122,11 @@ fn deterministic_across_policy_reuse() {
     assert!((a.energy_joules - b.energy_joules).abs() < 1e-6);
 }
 
-#[test]
-fn conservative_runs_around_a_job_wider_than_the_machine() {
-    // One 1,000-node job among 20 on a 64-node machine can never run; it
-    // must not keep the other 19 from completing.
+/// Runs 20 jobs on a 64-node machine, one of them 1,000 nodes wide,
+/// and returns how many completed.
+fn completions_around_a_job_wider_than_the_machine(policy: &mut dyn Policy) -> u64 {
+    // The wide job can never run; it must not keep the other 19 from
+    // completing.
     let mut jobs = vec![JobBuilder::new(0).nodes(1000).build()];
     jobs.extend((1..20u32).map(|i| {
         JobBuilder::new(u64::from(i))
@@ -133,12 +134,28 @@ fn conservative_runs_around_a_job_wider_than_the_machine() {
             .submit(SimTime::from_secs(f64::from(i) * 600.0))
             .build()
     }));
-    let out = ClusterSim::new(
+    ClusterSim::new(
         system(64).build(),
         jobs,
-        &mut ConservativeBackfill,
+        policy,
         EngineConfig::new(SimTime::from_days(2.0)),
     )
-    .run();
-    assert_eq!(out.completed, 19);
+    .run()
+    .completed
+}
+
+#[test]
+fn conservative_runs_around_a_job_wider_than_the_machine() {
+    assert_eq!(
+        completions_around_a_job_wider_than_the_machine(&mut ConservativeBackfill),
+        19
+    );
+}
+
+#[test]
+fn fcfs_runs_around_a_job_wider_than_the_machine() {
+    assert_eq!(
+        completions_around_a_job_wider_than_the_machine(&mut Fcfs),
+        19
+    );
 }

@@ -1,7 +1,7 @@
 //! Kill-point injection harness for crash-safe snapshot/resume.
 //!
-//! Per chaos seed, the engine is killed (dropped) at randomized window
-//! barriers — including mid-campaign under 4 shards × 4 threads — and
+//! Per chaos seed, the engine is killed (dropped) at randomized points
+//! between events — including mid-campaign under 4 threads — and
 //! resumed from the latest snapshot, possibly several times in a chain
 //! (crash → resume → crash again → resume). The contract under test:
 //!
@@ -10,8 +10,7 @@
 //! 2. The exported JSONL decision trace is byte-identical too: the
 //!    snapshot carries the trace ring, so a resumed run's trace is
 //!    indistinguishable from one that never crashed.
-//! 3. Both hold across the shard × thread grid: the snapshot's shard
-//!    layout must match at resume, but the thread count is free to
+//! 3. Both hold at every thread count, and the thread count is free to
 //!    change across the crash boundary.
 //! 4. Corrupt, truncated, version-skewed, or mismatched snapshots are
 //!    rejected with typed [`SnapshotError`]s — never a panic, never a
@@ -37,9 +36,13 @@ const BUDGET_FRAC: f64 = 0.7;
 const HORIZON_DAYS: f64 = 2.0;
 
 fn chaos_system() -> System {
+    chaos_system_with(4)
+}
+
+fn chaos_system_with(cabinets: u32) -> System {
     SystemSpec {
         name: "resume-32".into(),
-        cabinets: 4,
+        cabinets,
         nodes_per_cabinet: 8,
         node: NodeSpec::typical_xeon(),
         topology: Topology::FatTree { arity: 16 },
@@ -55,7 +58,7 @@ fn chaos_jobs(seed: u64) -> Vec<Job> {
 
 /// The full chaos configuration from `tests/chaos.rs`, with the trace
 /// fully enabled so the JSONL export exercises every category.
-fn chaos_config(seed: u64, shards: u32) -> EngineConfig {
+fn chaos_config(seed: u64) -> EngineConfig {
     let mut config = EngineConfig::new(SimTime::from_days(HORIZON_DAYS));
     config.power_budget_watts = Some(f64::from(NODES) * NOMINAL_W * BUDGET_FRAC);
     config.emergency = Some(EmergencyPolicy::new(f64::from(NODES) * NOMINAL_W * 0.65));
@@ -80,7 +83,6 @@ fn chaos_config(seed: u64, shards: u32) -> EngineConfig {
         }),
         seed,
     });
-    config.shards = Some(shards);
     config.trace = TraceConfig::all();
     config
 }
@@ -97,20 +99,20 @@ fn fingerprint_run(
 }
 
 /// Straight-through run: no crash, no snapshot.
-fn uninterrupted(seed: u64, shards: u32) -> (String, String) {
+fn uninterrupted(seed: u64) -> (String, String) {
     let mut policy = EasyBackfill;
     let sim = ClusterSim::new(
         chaos_system(),
         chaos_jobs(seed),
         &mut policy,
-        chaos_config(seed, shards),
+        chaos_config(seed),
     );
     let (out, bundle) = sim.run_traced();
     fingerprint_run(&out, &bundle)
 }
 
 /// Deterministic pseudo-random kill fractions of the horizon, ascending,
-/// derived from the seed so every seed crashes at different barriers.
+/// derived from the seed so every seed crashes at different points.
 fn kill_fractions(seed: u64) -> [f64; 3] {
     let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1);
     let mut fracs = [0.0f64; 3];
@@ -125,18 +127,18 @@ fn kill_fractions(seed: u64) -> [f64; 3] {
 }
 
 /// Runs the same workload but killed at each fraction of the horizon:
-/// the engine is advanced to the barrier, snapshotted, *dropped* (the
+/// the engine is advanced to that point, snapshotted, *dropped* (the
 /// crash), and a brand-new engine is resumed from the snapshot bytes
 /// (round-tripped through `from_bytes` to model a disk read). After the
 /// last crash the run is driven to completion with full tracing.
-fn killed_and_resumed(seed: u64, shards: u32, fracs: &[f64]) -> (String, String) {
+fn killed_and_resumed(seed: u64, fracs: &[f64]) -> (String, String) {
     let horizon_secs = HORIZON_DAYS * 86_400.0;
     let mut policy = EasyBackfill;
     let mut sim = ClusterSim::new(
         chaos_system(),
         chaos_jobs(seed),
         &mut policy,
-        chaos_config(seed, shards),
+        chaos_config(seed),
     );
     let mut snap = sim.run_until(SimTime::from_secs(horizon_secs * fracs[0]));
     drop(sim); // the crash
@@ -149,7 +151,7 @@ fn killed_and_resumed(seed: u64, shards: u32, fracs: &[f64]) -> (String, String)
             chaos_system(),
             chaos_jobs(seed),
             &mut policy,
-            chaos_config(seed, shards),
+            chaos_config(seed),
             &bytes,
         )
         .expect("resume from intact snapshot");
@@ -162,7 +164,7 @@ fn killed_and_resumed(seed: u64, shards: u32, fracs: &[f64]) -> (String, String)
         chaos_system(),
         chaos_jobs(seed),
         &mut policy,
-        chaos_config(seed, shards),
+        chaos_config(seed),
         &bytes,
     )
     .expect("resume from intact snapshot");
@@ -170,15 +172,15 @@ fn killed_and_resumed(seed: u64, shards: u32, fracs: &[f64]) -> (String, String)
     fingerprint_run(&out, &bundle)
 }
 
-/// Mid-campaign crashes under 4 shards × 4 threads: a three-crash chain
-/// at seed-randomized barriers must replay to a byte-identical outcome
-/// and trace.
+/// Mid-campaign crashes under 4 threads: a three-crash chain at
+/// seed-randomized points must replay to a byte-identical outcome and
+/// trace.
 #[test]
-fn multi_crash_resume_is_byte_identical_4_shards_4_threads() {
+fn multi_crash_resume_is_byte_identical_4_threads() {
     for seed in [1u64, 8, 55] {
         let fracs = kill_fractions(seed);
-        let (base_out, base_trace) = rayon::with_num_threads(4, || uninterrupted(seed, 4));
-        let (out, trace) = rayon::with_num_threads(4, || killed_and_resumed(seed, 4, &fracs));
+        let (base_out, base_trace) = rayon::with_num_threads(4, || uninterrupted(seed));
+        let (out, trace) = rayon::with_num_threads(4, || killed_and_resumed(seed, &fracs));
         assert!(
             out == base_out,
             "seed {seed}: resumed outcome drifted (kill points {fracs:?})"
@@ -190,26 +192,22 @@ fn multi_crash_resume_is_byte_identical_4_shards_4_threads() {
     }
 }
 
-/// The shard × thread grid: every combination of shards ∈ {1, 4} and
-/// threads ∈ {1, 4}, crashed once mid-horizon, must land on the same
-/// bytes as the uninterrupted single-shard serial run.
+/// Threads ∈ {1, 4}, crashed once mid-horizon, must land on the same
+/// bytes as the uninterrupted serial run.
 #[test]
-fn crash_resume_matches_across_shard_thread_grid() {
+fn crash_resume_matches_across_thread_counts() {
     let seed = 13u64;
-    let (base_out, base_trace) = rayon::with_num_threads(1, || uninterrupted(seed, 1));
-    for shards in [1u32, 4] {
-        for threads in [1usize, 4] {
-            let (out, trace) =
-                rayon::with_num_threads(threads, || killed_and_resumed(seed, shards, &[0.5]));
-            assert!(
-                out == base_out,
-                "seed {seed}: outcome drifted at {shards} shards x {threads} threads"
-            );
-            assert!(
-                trace == base_trace,
-                "seed {seed}: trace drifted at {shards} shards x {threads} threads"
-            );
-        }
+    let (base_out, base_trace) = rayon::with_num_threads(1, || uninterrupted(seed));
+    for threads in [1usize, 4] {
+        let (out, trace) = rayon::with_num_threads(threads, || killed_and_resumed(seed, &[0.5]));
+        assert!(
+            out == base_out,
+            "seed {seed}: outcome drifted at {threads} threads"
+        );
+        assert!(
+            trace == base_trace,
+            "seed {seed}: trace drifted at {threads} threads"
+        );
     }
 }
 
@@ -218,14 +216,14 @@ fn crash_resume_matches_across_shard_thread_grid() {
 #[test]
 fn thread_count_may_change_across_the_crash_boundary() {
     let seed = 21u64;
-    let (base_out, base_trace) = rayon::with_num_threads(1, || uninterrupted(seed, 4));
+    let (base_out, base_trace) = rayon::with_num_threads(1, || uninterrupted(seed));
     let snap = rayon::with_num_threads(1, || {
         let mut policy = EasyBackfill;
         let mut sim = ClusterSim::new(
             chaos_system(),
             chaos_jobs(seed),
             &mut policy,
-            chaos_config(seed, 4),
+            chaos_config(seed),
         );
         sim.run_until(SimTime::from_days(HORIZON_DAYS / 2.0))
     });
@@ -235,7 +233,7 @@ fn thread_count_may_change_across_the_crash_boundary() {
             chaos_system(),
             chaos_jobs(seed),
             &mut policy,
-            chaos_config(seed, 4),
+            chaos_config(seed),
             &snap,
         )
         .expect("resume across thread-count change");
@@ -251,13 +249,13 @@ fn thread_count_may_change_across_the_crash_boundary() {
 #[test]
 fn snapshot_after_completion_resumes_to_identical_outcome() {
     let seed = 2u64;
-    let (base_out, _) = uninterrupted(seed, 4);
+    let (base_out, _) = uninterrupted(seed);
     let mut policy = EasyBackfill;
     let mut sim = ClusterSim::new(
         chaos_system(),
         chaos_jobs(seed),
         &mut policy,
-        chaos_config(seed, 4),
+        chaos_config(seed),
     );
     let snap = sim.run_until(SimTime::from_days(HORIZON_DAYS * 10.0));
     drop(sim);
@@ -266,7 +264,7 @@ fn snapshot_after_completion_resumes_to_identical_outcome() {
         chaos_system(),
         chaos_jobs(seed),
         &mut policy,
-        chaos_config(seed, 4),
+        chaos_config(seed),
         &snap,
     )
     .expect("resume a completed run");
@@ -287,18 +285,18 @@ fn small_snapshot(seed: u64) -> Snapshot {
         chaos_system(),
         chaos_jobs(seed),
         &mut policy,
-        chaos_config(seed, 4),
+        chaos_config(seed),
     );
     sim.run_until(SimTime::from_hours(6.0))
 }
 
-fn try_resume(snapshot: &Snapshot, seed: u64, shards: u32) -> Result<(), SnapshotError> {
+fn try_resume(snapshot: &Snapshot, seed: u64) -> Result<(), SnapshotError> {
     let mut policy = EasyBackfill;
     ClusterSim::resume(
         chaos_system(),
         chaos_jobs(seed),
         &mut policy,
-        chaos_config(seed, shards),
+        chaos_config(seed),
         snapshot,
     )
     .map(|_| ())
@@ -310,7 +308,7 @@ fn corrupt_snapshot_is_rejected_with_checksum_mismatch() {
     let mut bytes = snap.into_bytes();
     let last = bytes.len() - 1;
     bytes[last] ^= 0xFF; // flip a payload bit
-    let err = try_resume(&Snapshot::from_bytes(bytes), 3, 4).unwrap_err();
+    let err = try_resume(&Snapshot::from_bytes(bytes), 3).unwrap_err();
     assert!(
         matches!(err, SnapshotError::ChecksumMismatch { .. }),
         "expected ChecksumMismatch, got {err:?}"
@@ -322,7 +320,7 @@ fn truncated_snapshot_is_rejected_with_truncated() {
     let snap = small_snapshot(3);
     let mut bytes = snap.into_bytes();
     bytes.truncate(bytes.len() - 16);
-    let err = try_resume(&Snapshot::from_bytes(bytes), 3, 4).unwrap_err();
+    let err = try_resume(&Snapshot::from_bytes(bytes), 3).unwrap_err();
     assert!(
         matches!(err, SnapshotError::Truncated { .. }),
         "expected Truncated, got {err:?}"
@@ -334,13 +332,13 @@ fn garbage_magic_is_rejected_with_bad_magic() {
     let snap = small_snapshot(3);
     let mut bytes = snap.into_bytes();
     bytes[0] ^= 0xFF;
-    let err = try_resume(&Snapshot::from_bytes(bytes), 3, 4).unwrap_err();
+    let err = try_resume(&Snapshot::from_bytes(bytes), 3).unwrap_err();
     assert!(
         matches!(err, SnapshotError::BadMagic),
         "expected BadMagic, got {err:?}"
     );
     // Arbitrary junk with no frame at all is equally typed, never a panic.
-    let err = try_resume(&Snapshot::from_bytes(vec![0x42; 64]), 3, 4).unwrap_err();
+    let err = try_resume(&Snapshot::from_bytes(vec![0x42; 64]), 3).unwrap_err();
     assert!(matches!(err, SnapshotError::BadMagic), "got {err:?}");
 }
 
@@ -350,7 +348,7 @@ fn version_skew_is_rejected_with_unsupported_version() {
     let mut bytes = snap.into_bytes();
     // The u32 schema version sits right after the 8-byte magic.
     bytes[8] ^= 0xFF;
-    let err = try_resume(&Snapshot::from_bytes(bytes), 3, 4).unwrap_err();
+    let err = try_resume(&Snapshot::from_bytes(bytes), 3).unwrap_err();
     assert!(
         matches!(err, SnapshotError::UnsupportedVersion { .. }),
         "expected UnsupportedVersion, got {err:?}"
@@ -361,7 +359,7 @@ fn version_skew_is_rejected_with_unsupported_version() {
 fn mismatched_config_is_rejected_with_config_mismatch() {
     let snap = small_snapshot(3);
     // Same machine, different seed → different workload + fingerprint.
-    let err = try_resume(&snap, 4, 4).unwrap_err();
+    let err = try_resume(&snap, 4).unwrap_err();
     assert!(
         matches!(err, SnapshotError::ConfigMismatch { .. }),
         "expected ConfigMismatch, got {err:?}"
@@ -369,10 +367,19 @@ fn mismatched_config_is_rejected_with_config_mismatch() {
 }
 
 #[test]
-fn mismatched_shard_layout_is_rejected_with_topology_mismatch() {
+fn mismatched_node_count_is_rejected_with_topology_mismatch() {
     let snap = small_snapshot(3);
-    // Same config fingerprint, different shard partition.
-    let err = try_resume(&snap, 3, 1).unwrap_err();
+    // Same config and workload on a machine one cabinet larger.
+    let mut policy = EasyBackfill;
+    let err = ClusterSim::resume(
+        chaos_system_with(5),
+        chaos_jobs(3),
+        &mut policy,
+        chaos_config(3),
+        &snap,
+    )
+    .map(|_| ())
+    .unwrap_err();
     assert!(
         matches!(err, SnapshotError::TopologyMismatch { .. }),
         "expected TopologyMismatch, got {err:?}"
@@ -390,5 +397,5 @@ fn snapshot_survives_a_disk_roundtrip() {
     let _ = std::fs::remove_file(&path);
     assert_eq!(loaded, snap);
     loaded.verify_frame().expect("frame intact after roundtrip");
-    try_resume(&loaded, 5, 4).expect("resume from disk");
+    try_resume(&loaded, 5).expect("resume from disk");
 }
