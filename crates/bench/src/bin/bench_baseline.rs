@@ -14,11 +14,16 @@
 //! cargo run --release -p epa-bench --bin bench_baseline [out.json]
 //! ```
 //!
+//! Each engine row also records how many of the energy meter's periodic
+//! resyncs summed its per-draw tally exactly and how many fell back to
+//! scanning every node.
+//!
 //! With `--check-scaling` the binary instead runs the 256- and 4,096-node
 //! rows and exits nonzero unless events/sec at 4,096 nodes is within 4×
 //! of 256 nodes — the CI guard for the O(active)-per-event invariant —
 //! then the 65,536-node row, which must stay within
-//! `HUGE_SCALING_BOUND`× of the 256-node rate, and finally the
+//! `HUGE_SCALING_BOUND`× of the 256-node rate and take no scanning
+//! meter resync (a deterministic count, not a timing), and finally the
 //! replication-sweep speedup — a cell that is skipped (not failed) when
 //! the pool is oversubscribed, because a speedup measured on fewer cores
 //! than pool threads is luck, not signal.
@@ -82,11 +87,19 @@ const STREAM_SEED: u64 = 2088;
 /// must stay within this factor of the 10k-job probe.
 const STREAM_RSS_BOUND: f64 = 2.0;
 
-struct SizeResult {
-    nodes: u32,
+/// One timed engine day.
+#[derive(Clone, Copy)]
+struct EngineRun {
     wall_secs: f64,
     events: u64,
     completed: u64,
+    /// The meter's `(exact, scanned)` resync counts for the run.
+    resyncs: (u64, u64),
+}
+
+struct SizeResult {
+    nodes: u32,
+    run: EngineRun,
     /// Process peak RSS observed once this row's reps finished. The
     /// high-water mark is monotone across rows (sizes run ascending),
     /// so each value bounds everything up to and including its row.
@@ -102,15 +115,19 @@ fn simulate(nodes: u32, seed: u64) -> SimOutcome {
     ClusterSim::new(experiment_system(nodes), jobs, &mut policy, config).run()
 }
 
-fn run_once(nodes: u32) -> (f64, u64, u64) {
+fn run_once(nodes: u32) -> EngineRun {
     let jobs = WorkloadGenerator::new(WorkloadParams::typical(nodes, 9))
         .generate(SimTime::from_days(SIM_DAYS), 0);
     let mut policy = EasyBackfill;
     let config = EngineConfig::new(SimTime::from_days(SIM_DAYS));
-    let sim = ClusterSim::new(experiment_system(nodes), jobs, &mut policy, config);
+    let mut sim = ClusterSim::new(experiment_system(nodes), jobs, &mut policy, config);
     // Time only the event loop — setup (workload generation, dense-state
     // init) is O(nodes) by construction and not what this row tracks.
+    // The loop runs to its end before `run` finalizes, so the meter's
+    // resync counts can be read in between.
     let t0 = Instant::now();
+    sim.advance_until(SimTime::from_secs(f64::MAX));
+    let resyncs = sim.meter().resync_counts();
     let out = sim.run();
     let wall = t0.elapsed().as_secs_f64();
     let events = out
@@ -118,16 +135,21 @@ fn run_once(nodes: u32) -> (f64, u64, u64) {
         .get("sim/events_processed")
         .copied()
         .unwrap_or(0);
-    (wall, events, out.completed)
+    EngineRun {
+        wall_secs: wall,
+        events,
+        completed: out.completed,
+        resyncs,
+    }
 }
 
-fn best_of_reps(nodes: u32, reps: usize) -> (f64, u64, u64) {
+fn best_of_reps(nodes: u32, reps: usize) -> EngineRun {
     // Best-of-N wall time: the minimum is the least-noise estimate of
     // the engine's intrinsic cost.
-    let mut best: Option<(f64, u64, u64)> = None;
+    let mut best: Option<EngineRun> = None;
     for _ in 0..reps {
         let r = run_once(nodes);
-        if best.is_none_or(|b| r.0 < b.0) {
+        if best.is_none_or(|b| r.wall_secs < b.wall_secs) {
             best = Some(r);
         }
     }
@@ -519,24 +541,29 @@ fn snapshot_section() -> serde_json::Value {
 }
 
 /// CI guard: events/sec at 4,096 nodes within `SCALING_BOUND`× of 256,
-/// and at 65,536 nodes within `HUGE_SCALING_BOUND`× of 256.
+/// and at 65,536 nodes within `HUGE_SCALING_BOUND`× of 256 with no meter
+/// resync falling back to the node scan.
 fn check_scaling() -> bool {
-    let (wall_small, ev_small, _) = best_of_reps(256, 2);
-    let (wall_big, ev_big, _) = best_of_reps(4096, 2);
-    let rate_small = ev_small as f64 / wall_small.max(1e-12);
-    let rate_big = ev_big as f64 / wall_big.max(1e-12);
+    let small = best_of_reps(256, 2);
+    let big = best_of_reps(4096, 2);
+    let rate_small = small.events as f64 / small.wall_secs.max(1e-12);
+    let rate_big = big.events as f64 / big.wall_secs.max(1e-12);
     let degradation = rate_small / rate_big.max(1e-12);
     eprintln!(
         "scaling check: 256 nodes {rate_small:.0} events/s, 4096 nodes {rate_big:.0} events/s \
          -> {degradation:.2}x degradation (bound {SCALING_BOUND}x)"
     );
-    let (wall_huge, ev_huge, _) = best_of_reps(65536, 2);
-    let rate_huge = ev_huge as f64 / wall_huge.max(1e-12);
+    let huge = best_of_reps(65536, 2);
+    let rate_huge = huge.events as f64 / huge.wall_secs.max(1e-12);
     let huge_degradation = rate_small / rate_huge.max(1e-12);
     eprintln!(
         "large-machine scaling check: 65536 nodes {rate_huge:.0} events/s \
          -> {huge_degradation:.2}x degradation vs 256 nodes \
          (bound {HUGE_SCALING_BOUND}x)"
+    );
+    let (exact, scanned) = huge.resyncs;
+    eprintln!(
+        "meter resync check: 65536 nodes {exact} exact, {scanned} scanning resyncs (bound 0 scanning)"
     );
     // Replication-sweep speedup cell — excluded when oversubscribed: a
     // pool wider than the machine can't be expected to beat serial, and
@@ -559,7 +586,10 @@ fn check_scaling() -> bool {
         );
         speedup >= SWEEP_SPEEDUP_BOUND
     };
-    degradation <= SCALING_BOUND && huge_degradation <= HUGE_SCALING_BOUND && sweep_ok
+    degradation <= SCALING_BOUND
+        && huge_degradation <= HUGE_SCALING_BOUND
+        && scanned == 0
+        && sweep_ok
 }
 
 fn main() {
@@ -589,19 +619,22 @@ fn main() {
         .unwrap_or_else(|| "BENCH_engine.json".to_owned());
     let mut results = Vec::new();
     for nodes in SIZES {
-        let (wall_secs, events, completed) = best_of_reps(nodes, REPS);
+        let run = best_of_reps(nodes, REPS);
         let peak_rss = peak_rss_bytes();
         eprintln!(
-            "{nodes:>5} nodes: {wall_secs:.3} s/simulated-day, {events} events \
-             ({:.0} events/s), {completed} jobs completed, peak RSS {:.1} MiB",
-            events as f64 / wall_secs.max(1e-12),
-            peak_rss as f64 / (1024.0 * 1024.0)
+            "{nodes:>5} nodes: {:.3} s/simulated-day, {} events ({:.0} events/s), \
+             {} jobs completed, peak RSS {:.1} MiB, meter resyncs {} exact / {} scanned",
+            run.wall_secs,
+            run.events,
+            run.events as f64 / run.wall_secs.max(1e-12),
+            run.completed,
+            peak_rss as f64 / (1024.0 * 1024.0),
+            run.resyncs.0,
+            run.resyncs.1,
         );
         results.push(SizeResult {
             nodes,
-            wall_secs,
-            events,
-            completed,
+            run,
             peak_rss,
         });
     }
@@ -614,11 +647,13 @@ fn main() {
         .map(|r| {
             json!({
                 "nodes": r.nodes,
-                "wall_secs_per_sim_day": r.wall_secs,
-                "events": r.events,
-                "events_per_sec": r.events as f64 / r.wall_secs.max(1e-12),
-                "jobs_completed": r.completed,
+                "wall_secs_per_sim_day": r.run.wall_secs,
+                "events": r.run.events,
+                "events_per_sec": r.run.events as f64 / r.run.wall_secs.max(1e-12),
+                "jobs_completed": r.run.completed,
                 "peak_rss_bytes": r.peak_rss,
+                "meter_resyncs_exact": r.run.resyncs.0,
+                "meter_resyncs_scanned": r.run.resyncs.1,
             })
         })
         .collect();

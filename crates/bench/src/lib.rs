@@ -42,7 +42,10 @@ use serde::Serialize;
 /// v7: removed the `shards` section from `BENCH_engine.json` (the
 /// partitioned engine is gone); the 65,536-node scaling guard runs on
 /// the single event queue.
-pub const BENCH_SCHEMA_VERSION: u32 = 7;
+///
+/// v8: every `BENCH_engine.json` engine row records the energy meter's
+/// resync counts (`meter_resyncs_exact`, `meter_resyncs_scanned`).
+pub const BENCH_SCHEMA_VERSION: u32 = 8;
 
 /// Peak resident set size of this process in bytes (`VmHWM` from
 /// `/proc/self/status`), or 0 where that interface is unavailable. The

@@ -23,11 +23,15 @@ use epa_cluster::node::NodeId;
 use epa_simcore::series::{BoundedSeries, TimeSeries};
 use epa_simcore::time::{SimDuration, SimTime};
 
-/// How many incremental updates may accumulate before `system_watts` is
-/// recomputed from the per-node values. Long runs make millions of
-/// `+= new - old` updates whose float cancellation slowly drifts the
-/// running sum; a periodic O(nodes) resync bounds that drift without
-/// measurable cost (it amortizes to one add per update).
+/// How many node updates may accumulate before `system_watts` is
+/// recomputed exactly. Long runs make millions of `+= new - old` updates
+/// whose float cancellation slowly drifts the running sum; the periodic
+/// resync bounds that drift. A group open or close counts one update per
+/// member, so on a large machine every start or finish of a job with at
+/// least this many nodes triggers a resync. The resync therefore never
+/// walks the nodes: it sums the ungrouped draws from the [`DrawTally`]
+/// (a handful of entries) plus the open groups, and scans the nodes only
+/// when the tally cannot prove its sum bit-exact.
 const RESYNC_INTERVAL: u32 = 4096;
 
 /// Sentinel for "this node is not in any allocation group".
@@ -98,6 +102,129 @@ struct AllocGroup {
     in_use: bool,
 }
 
+/// How many ungrouped node slots hold each exact draw, keyed by `f64`
+/// bits. Ungrouped engine nodes only ever draw off, boot, idle, or the
+/// 0 W default, so the tally holds a handful of entries and a resync sums
+/// it in O(entries) instead of O(nodes). Derived state: rebuilt from the
+/// slots on restore, never serialized.
+#[derive(Debug, Clone, Default)]
+struct DrawTally {
+    /// `(draw bits, slot count)`; every count is nonzero.
+    entries: Vec<(u64, u64)>,
+}
+
+impl DrawTally {
+    fn add(&mut self, watts: f64, count: u64) {
+        if count == 0 {
+            return;
+        }
+        let bits = watts.to_bits();
+        match self.entries.iter_mut().find(|e| e.0 == bits) {
+            Some(e) => e.1 += count,
+            None => self.entries.push((bits, count)),
+        }
+    }
+
+    fn remove(&mut self, watts: f64, count: u64) {
+        if count == 0 {
+            return;
+        }
+        let bits = watts.to_bits();
+        let i = self
+            .entries
+            .iter()
+            .position(|e| e.0 == bits)
+            .expect("removed draw is tallied");
+        self.entries[i].1 -= count;
+        if self.entries[i].1 == 0 {
+            self.entries.swap_remove(i);
+        }
+    }
+
+    /// Σ count·draw, bit-identical to summing the slots one by one in any
+    /// order — or `None` when that cannot be proven and the caller must
+    /// scan.
+    ///
+    /// Every tallied draw v is written as mᵥ·g, where g is the largest
+    /// power of two dividing all nonzero draws. If every draw is finite,
+    /// non-negative and not −0.0, and Σ countᵥ·mᵥ < 2⁵³, then every
+    /// partial sum of a sequential scan is a multiple of g below 2⁵³·g,
+    /// hence representable: the scan rounds nowhere and returns the exact
+    /// total, which is what this computes.
+    fn exact_sum(&self) -> Option<f64> {
+        const LIMIT: u128 = 1 << 53;
+        if self.entries.is_empty() {
+            return Some(std::iter::empty::<f64>().sum());
+        }
+        let mut granule = i32::MAX;
+        for &(bits, _) in &self.entries {
+            let (odd, exp) = odd_and_exp(bits)?;
+            if odd != 0 {
+                granule = granule.min(exp);
+            }
+        }
+        if granule == i32::MAX {
+            // Every draw is +0.0.
+            return Some(0.0);
+        }
+        let mut units: u128 = 0;
+        for &(bits, count) in &self.entries {
+            let (odd, exp) = odd_and_exp(bits)?;
+            if odd == 0 {
+                continue;
+            }
+            let shift = (exp - granule) as u32;
+            if shift >= 53 {
+                return None;
+            }
+            // odd < 2⁵³ and shift < 53, so m < 2¹⁰⁶; once m < 2⁵³,
+            // m·count < 2¹¹⁷ and `units` < 2⁵³ before the add: no overflow.
+            let m = u128::from(odd) << shift;
+            if m >= LIMIT {
+                return None;
+            }
+            units += m * u128::from(count);
+            if units >= LIMIT {
+                return None;
+            }
+        }
+        // `units` < 2⁵³ converts exactly; scaling by a power of two is
+        // exact unless it overflows.
+        let sum = units as f64 * pow2(granule);
+        sum.is_finite().then_some(sum)
+    }
+}
+
+/// Splits a finite, non-negative draw other than −0.0 into `(odd, exp)`
+/// with draw = odd·2^exp (`odd == 0` for +0.0); `None` for any other draw.
+fn odd_and_exp(bits: u64) -> Option<(u64, i32)> {
+    // The sign bit lifts a negative draw's biased exponent past 0x7ff.
+    let biased = (bits >> 52) as i32;
+    if biased >= 0x7ff {
+        return None;
+    }
+    let frac = bits & ((1 << 52) - 1);
+    let (mant, exp) = if biased == 0 {
+        (frac, -1074)
+    } else {
+        (frac | 1 << 52, biased - 1075)
+    };
+    if mant == 0 {
+        return Some((0, 0));
+    }
+    let tz = mant.trailing_zeros();
+    Some((mant >> tz, exp + tz as i32))
+}
+
+/// 2^exp for any exponent a finite draw's granule can have (−1074..=971).
+fn pow2(exp: i32) -> f64 {
+    if exp >= -1022 {
+        f64::from_bits(((exp + 1023) as u64) << 52)
+    } else {
+        f64::from_bits(1 << (exp + 1074))
+    }
+}
+
 /// Storage backing the system-level power trace: either the full
 /// change-point [`TimeSeries`] (every historical window query available)
 /// or a [`BoundedSeries`] whose memory is O(horizon / grid interval)
@@ -142,6 +269,13 @@ pub struct EnergyMeter {
     system_watts: f64,
     system_trace: TraceStore,
     updates_since_resync: u32,
+    /// Ungrouped slots per exact draw; resync sums this instead of the
+    /// slots.
+    tally: DrawTally,
+    /// Resyncs served by the tally's exact sum and by the node scan since
+    /// construction or restore (diagnostic; not serialized).
+    resyncs_exact: u64,
+    resyncs_scanned: u64,
 }
 
 impl EnergyMeter {
@@ -169,12 +303,14 @@ impl EnergyMeter {
     fn ensure(&mut self, node: NodeId) {
         let idx = node.0 as usize;
         if idx >= self.nodes.len() {
+            self.tally.add(0.0, (idx + 1 - self.nodes.len()) as u64);
             self.nodes.resize(idx + 1, NodeAccum::default());
         }
     }
 
-    /// Applies one node update, returning the change in system draw. O(1).
-    fn apply_node(&mut self, node: NodeId, t: SimTime, watts: f64) -> f64 {
+    /// Applies one node update and puts the slot in `group`, returning the
+    /// node's previous draw. O(1). The caller moves the slot's tally count.
+    fn apply_node(&mut self, node: NodeId, t: SimTime, watts: f64, group: u32) -> f64 {
         debug_assert!(watts >= 0.0, "negative power draw");
         self.ensure(node);
         let slot = &mut self.nodes[node.0 as usize];
@@ -193,30 +329,44 @@ impl EnergyMeter {
         slot.acc += prev * t.saturating_since(slot.since).as_secs();
         slot.since = t;
         slot.watts = watts;
-        watts - prev
+        slot.group = group;
+        prev
     }
 
-    /// Folds a system-draw delta into the running sum, resyncing from the
-    /// per-node values periodically to cancel accumulated float drift.
+    /// Applies `watts` at `t` to every node in `nodes`, moving them into
+    /// `group`, and returns the summed change in system draw. The nodes
+    /// leave the tally one run of equal previous draws at a time — an
+    /// allocation's nodes usually share one — so the walk does no
+    /// per-node tally lookup.
+    fn apply_alloc(&mut self, nodes: &[NodeId], t: SimTime, watts: f64, group: u32) -> f64 {
+        // Node lists are usually ascending: growing to the last id up
+        // front tallies the new default slots in one add, not one per node.
+        if let Some(&last) = nodes.last() {
+            self.ensure(last);
+        }
+        let mut delta = 0.0;
+        let (mut run_watts, mut run_len) = (0.0f64, 0u64);
+        for &n in nodes {
+            let prev = self.apply_node(n, t, watts, group);
+            delta += watts - prev;
+            if prev.to_bits() != run_watts.to_bits() {
+                self.tally.remove(run_watts, run_len);
+                (run_watts, run_len) = (prev, 0);
+            }
+            run_len += 1;
+        }
+        self.tally.remove(run_watts, run_len);
+        delta
+    }
+
+    /// Folds a system-draw delta into the running sum, resyncing
+    /// periodically to cancel accumulated float drift.
     fn commit_delta(&mut self, delta: f64, batch: u32) {
         self.system_watts += delta;
         self.updates_since_resync += batch;
         if self.updates_since_resync >= RESYNC_INTERVAL {
             self.updates_since_resync = 0;
-            // Grouped nodes carry their live draw in the group record;
-            // their slot wattage is stale and must not be double-counted.
-            self.system_watts = self
-                .nodes
-                .iter()
-                .filter(|n| n.group == NO_GROUP)
-                .map(|n| n.watts)
-                .sum::<f64>()
-                + self
-                    .groups
-                    .iter()
-                    .filter(|g| g.in_use)
-                    .map(|g| g.watts * f64::from(g.members))
-                    .sum::<f64>();
+            self.resync();
         }
         // Guard tiny negative residue from float cancellation.
         if self.system_watts < 0.0 && self.system_watts > -1e-6 {
@@ -224,13 +374,63 @@ impl EnergyMeter {
         }
     }
 
+    /// Recomputes `system_watts` from the ungrouped draws and the open
+    /// groups. The ungrouped half comes from the tally in O(entries) when
+    /// its exact sum is provable, and from the node scan otherwise; both
+    /// give the same bits.
+    fn resync(&mut self) {
+        let ungrouped = match self.tally.exact_sum() {
+            Some(sum) => {
+                debug_assert_eq!(
+                    sum.to_bits(),
+                    self.ungrouped_scan().to_bits(),
+                    "tally sum diverged from the node scan"
+                );
+                self.resyncs_exact += 1;
+                sum
+            }
+            None => {
+                self.resyncs_scanned += 1;
+                self.ungrouped_scan()
+            }
+        };
+        self.system_watts = ungrouped
+            + self
+                .groups
+                .iter()
+                .filter(|g| g.in_use)
+                .map(|g| g.watts * f64::from(g.members))
+                .sum::<f64>();
+    }
+
+    /// The ungrouped slots' draws summed in node order. Grouped nodes
+    /// carry their live draw in the group record; their slot wattage is
+    /// stale and must not be double-counted.
+    fn ungrouped_scan(&self) -> f64 {
+        self.nodes
+            .iter()
+            .filter(|n| n.group == NO_GROUP)
+            .map(|n| n.watts)
+            .sum()
+    }
+
+    /// How many resyncs so far summed the draw tally exactly and how many
+    /// fell back to scanning every node: `(exact, scanned)`. Counts start
+    /// at zero on construction and on restore.
+    #[must_use]
+    pub fn resync_counts(&self) -> (u64, u64) {
+        (self.resyncs_exact, self.resyncs_scanned)
+    }
+
     /// Records that `node` draws `watts` from time `t` onward.
     ///
     /// Maintains the system-level trace incrementally: the system draw is
     /// the sum of all node draws, updated at each change point.
     pub fn set_node_watts(&mut self, node: NodeId, t: SimTime, watts: f64) {
-        let delta = self.apply_node(node, t, watts);
-        self.commit_delta(delta, 1);
+        let prev = self.apply_node(node, t, watts, NO_GROUP);
+        self.tally.remove(prev, 1);
+        self.tally.add(watts, 1);
+        self.commit_delta(watts - prev, 1);
         self.system_trace.push(t, self.system_watts);
     }
 
@@ -245,10 +445,8 @@ impl EnergyMeter {
         if nodes.is_empty() {
             return;
         }
-        let mut delta = 0.0;
-        for &n in nodes {
-            delta += self.apply_node(n, t, watts);
-        }
+        let delta = self.apply_alloc(nodes, t, watts, NO_GROUP);
+        self.tally.add(watts, nodes.len() as u64);
         self.commit_delta(delta, nodes.len() as u32);
         self.system_trace.push(t, self.system_watts);
     }
@@ -256,15 +454,14 @@ impl EnergyMeter {
     /// Opens an allocation group: every node in `nodes` draws `watts`
     /// from `t` onward, and subsequent uniform power steps over the same
     /// set cost O(1) via [`EnergyMeter::set_group_watts`] instead of a
-    /// walk over the allocation. Returns the group handle and the *mark*
-    /// — the summed lifetime energy of the nodes through `t`, in node
-    /// order, exactly what `set_alloc_watts` + `alloc_energy_to` at the
-    /// same instant would produce.
+    /// walk over the allocation. The per-node arithmetic (and its order)
+    /// is that of `set_alloc_watts`, so opening a group is bit-exact with
+    /// the batch update it replaces.
     ///
     /// One walk over the allocation (the fold of pre-group history into
     /// each node's accumulator) is the only O(n) work a group ever does
     /// besides its close.
-    pub fn open_group(&mut self, nodes: &[NodeId], t: SimTime, watts: f64) -> (GroupId, f64) {
+    pub fn open_group(&mut self, nodes: &[NodeId], t: SimTime, watts: f64) -> GroupId {
         assert!(!nodes.is_empty(), "cannot open an empty group");
         let gid = self.free_groups.pop().unwrap_or_else(|| {
             self.groups.push(AllocGroup {
@@ -276,17 +473,7 @@ impl EnergyMeter {
             });
             (self.groups.len() - 1) as u32
         });
-        let mut delta = 0.0;
-        let mut mark = 0.0;
-        for &n in nodes {
-            // Identical per-node arithmetic (and order) to the ungrouped
-            // set_alloc_watts path, so opening a group is bit-exact with
-            // the batch update it replaces.
-            delta += self.apply_node(n, t, watts);
-            let slot = &mut self.nodes[n.0 as usize];
-            slot.group = gid;
-            mark += slot.acc;
-        }
+        let delta = self.apply_alloc(nodes, t, watts, gid);
         self.groups[gid as usize] = AllocGroup {
             watts,
             since: t,
@@ -296,7 +483,7 @@ impl EnergyMeter {
         };
         self.commit_delta(delta, nodes.len() as u32);
         self.system_trace.push(t, self.system_watts);
-        (GroupId(gid), mark)
+        GroupId(gid)
     }
 
     /// Steps an open group's uniform per-node draw to `watts` at `t`.
@@ -347,6 +534,7 @@ impl EnergyMeter {
             delta += next_watts - group_watts;
         }
         self.free_groups.push(gid.0);
+        self.tally.add(next_watts, nodes.len() as u64);
         self.commit_delta(delta, nodes.len() as u32);
         self.system_trace.push(t, self.system_watts);
         energy
@@ -355,7 +543,8 @@ impl EnergyMeter {
     /// Encodes the full metering state — per-node accumulators, open and
     /// recycled groups, the running system sum, the system trace, and the
     /// resync counter — bit-exactly, so a restored meter produces the same
-    /// floating-point results as one that was never snapshotted.
+    /// floating-point results as one that was never snapshotted. The draw
+    /// tally is derived from the slots and rebuilt on restore.
     pub fn snapshot_into(&self, w: &mut epa_simcore::snap::SnapWriter) {
         w.seq(&self.nodes, |w, n| {
             w.f64(n.watts);
@@ -425,6 +614,10 @@ impl EnergyMeter {
                 });
             }
         }
+        let mut tally = DrawTally::default();
+        for n in nodes.iter().filter(|n| n.group == NO_GROUP) {
+            tally.add(n.watts, 1);
+        }
         Ok(EnergyMeter {
             nodes,
             groups,
@@ -432,6 +625,9 @@ impl EnergyMeter {
             system_watts,
             system_trace,
             updates_since_resync,
+            tally,
+            resyncs_exact: 0,
+            resyncs_scanned: 0,
         })
     }
 
@@ -691,7 +887,8 @@ mod tests {
         }
 
         // Grouped job: open at 100 W, phase to 300 W, phase to 80 W, close.
-        let (gid, mark_g) = grouped.open_group(&nodes, t(10.0), 100.0);
+        let mark_g = grouped.alloc_energy_to(&nodes, t(10.0));
+        let gid = grouped.open_group(&nodes, t(10.0), 100.0);
         grouped.set_group_watts(gid, t(20.0), 300.0);
         grouped.set_group_watts(gid, t(30.0), 80.0);
         let energy_g = grouped.close_group(gid, &nodes, t(40.0), 50.0);
@@ -704,7 +901,11 @@ mod tests {
         let energy_p = plain.alloc_energy_to(&nodes, t(40.0)) - mark_p;
         plain.set_alloc_watts(&nodes, t(40.0), 50.0);
 
-        assert_eq!(mark_g, mark_p, "open mark must be bit-exact");
+        assert_eq!(
+            mark_g.to_bits(),
+            mark_p.to_bits(),
+            "pre-open mark must be bit-exact"
+        );
         // Per-node: (100*10 + 300*10 + 80*10) * 3 nodes = 14400.
         assert!((energy_g - 14400.0).abs() < 1e-9);
         assert!((energy_g - energy_p).abs() < 1e-9);
@@ -728,7 +929,7 @@ mod tests {
         let nodes = [n(0), n(1)];
         let mut m = EnergyMeter::new();
         m.set_alloc_watts(&nodes, t(0.0), 10.0);
-        let (gid, _) = m.open_group(&nodes, t(5.0), 200.0);
+        let gid = m.open_group(&nodes, t(5.0), 200.0);
         assert_eq!(m.node_watts(n(0)), 200.0);
         // 10 W for 5 s of history + 200 W for 5 s in-group.
         assert!((m.node_energy_to(n(0), t(10.0)) - 1050.0).abs() < 1e-9);
@@ -741,9 +942,9 @@ mod tests {
     #[test]
     fn group_slots_are_recycled() {
         let mut m = EnergyMeter::new();
-        let (g1, _) = m.open_group(&[n(0)], t(0.0), 100.0);
+        let g1 = m.open_group(&[n(0)], t(0.0), 100.0);
         m.close_group(g1, &[n(0)], t(1.0), 0.0);
-        let (g2, _) = m.open_group(&[n(1), n(2)], t(2.0), 50.0);
+        let g2 = m.open_group(&[n(1), n(2)], t(2.0), 50.0);
         assert_eq!(g1, g2, "closed slot must be reused");
         assert_eq!(m.groups.len(), 1);
         let e = m.close_group(g2, &[n(1), n(2)], t(4.0), 0.0);
@@ -754,7 +955,7 @@ mod tests {
     fn resync_counts_open_groups_once() {
         let mut m = EnergyMeter::new();
         let nodes = [n(0), n(1), n(2), n(3)];
-        let (gid, _) = m.open_group(&nodes, t(0.0), 100.0);
+        let gid = m.open_group(&nodes, t(0.0), 100.0);
         m.set_node_watts(n(4), t(0.0), 7.0);
         // Force many resyncs while the group is open; the grouped slots'
         // stale wattage must not leak into the system sum.
@@ -774,7 +975,7 @@ mod tests {
     #[cfg(debug_assertions)]
     fn individual_update_of_grouped_node_panics() {
         let mut m = EnergyMeter::new();
-        let (_gid, _) = m.open_group(&[n(0)], t(0.0), 100.0);
+        let _gid = m.open_group(&[n(0)], t(0.0), 100.0);
         m.set_node_watts(n(0), t(1.0), 50.0);
     }
 
@@ -785,7 +986,7 @@ mod tests {
         let mut bounded = EnergyMeter::with_bounded_trace(dt);
         for m in [&mut full, &mut bounded] {
             m.set_alloc_watts(&[n(0), n(1)], t(0.0), 50.0);
-            let (gid, _) = m.open_group(&[n(0), n(1)], t(100.0), 200.0);
+            let gid = m.open_group(&[n(0), n(1)], t(100.0), 200.0);
             m.set_group_watts(gid, t(400.0), 350.0);
             m.close_group(gid, &[n(0), n(1)], t(900.0), 50.0);
             m.set_node_watts(n(0), t(1200.0), 0.0);
@@ -843,6 +1044,82 @@ mod tests {
         let m = EnergyMeter::with_bounded_trace(epa_simcore::time::SimDuration::from_mins(5.0));
         let _ = m.system_trace();
     }
+
+    /// Resyncs `m` once and returns the change in `(exact, scanned)`
+    /// counts, after checking the result against the node scan.
+    fn resync_delta(m: &mut EnergyMeter) -> (u64, u64) {
+        let (e0, s0) = m.resync_counts();
+        m.resync();
+        let groups: f64 = m
+            .groups
+            .iter()
+            .filter(|g| g.in_use)
+            .map(|g| g.watts * f64::from(g.members))
+            .sum();
+        assert_eq!(
+            m.system_watts().to_bits(),
+            (m.ungrouped_scan() + groups).to_bits()
+        );
+        let (e1, s1) = m.resync_counts();
+        (e1 - e0, s1 - s0)
+    }
+
+    #[test]
+    fn empty_meter_resyncs_exactly() {
+        let mut m = EnergyMeter::new();
+        let empty: f64 = std::iter::empty::<f64>().sum();
+        assert_eq!(m.tally.exact_sum().map(f64::to_bits), Some(empty.to_bits()));
+        assert_eq!(resync_delta(&mut m), (1, 0));
+    }
+
+    #[test]
+    fn all_nodes_grouped_leaves_an_empty_tally() {
+        let nodes = [n(0), n(1), n(2)];
+        let mut m = EnergyMeter::new();
+        m.set_alloc_watts(&nodes, t(0.0), 50.0);
+        let gid = m.open_group(&nodes, t(1.0), 300.0);
+        assert!(m.tally.entries.is_empty());
+        assert_eq!(resync_delta(&mut m), (1, 0));
+        assert_eq!(m.system_watts(), 900.0);
+        m.close_group(gid, &nodes, t(2.0), 50.0);
+        assert_eq!(m.tally.entries, vec![(50.0f64.to_bits(), 3)]);
+    }
+
+    #[test]
+    fn tally_sum_at_the_two_pow_53_granule_limit_falls_back() {
+        let two52 = 2f64.powi(52);
+        for granule in [1.0, 8.0, f64::from_bits(1)] {
+            // Odd multiples of the granule, so the granule is exactly it.
+            let below = [(two52 + 1.0) * granule, (two52 - 3.0) * granule];
+            let at = [(two52 + 1.0) * granule, (two52 - 1.0) * granule];
+            for (draws, want) in [(below, (1, 0)), (at, (0, 1))] {
+                let mut m = EnergyMeter::new();
+                m.set_node_watts(n(0), t(0.0), draws[0]);
+                m.set_node_watts(n(1), t(0.0), draws[1]);
+                assert_eq!(m.tally.entries.len(), 2);
+                assert_eq!(
+                    resync_delta(&mut m),
+                    want,
+                    "granule {granule}, draws {draws:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn negative_zero_draw_takes_the_scan() {
+        let mut m = EnergyMeter::new();
+        m.set_node_watts(n(0), t(0.0), -0.0);
+        assert_eq!(m.tally.exact_sum(), None);
+        assert_eq!(resync_delta(&mut m), (0, 1));
+        assert_eq!(
+            m.system_watts().to_bits(),
+            m.ungrouped_scan().to_bits(),
+            "the scan keeps the zero's sign"
+        );
+        m.set_node_watts(n(0), t(1.0), 0.0);
+        assert_eq!(resync_delta(&mut m), (1, 0));
+    }
 }
 
 #[cfg(test)]
@@ -850,7 +1127,107 @@ mod proptests {
     use super::*;
     use proptest::prelude::*;
 
+    /// Power-of-two-granular draws: the tally's exact sum always applies.
+    const DYADIC: [f64; 4] = [0.0, 8.0, 90.0, 290.0];
+    /// Draws with long odd significands or a tiny granule, which push the
+    /// unit count past 2⁵³ and force the scan fallback.
+    const NON_DYADIC: [f64; 3] = [85.3, 0.1, f64::from_bits(1)];
+    const NODES: u32 = 8;
+
+    /// Drives `ops` — `(kind, selector, draw index)` triples — through a
+    /// meter: single-node and batch updates, group open / step / close,
+    /// and snapshot→restore. After every op the tally must equal one
+    /// rebuilt from the slots and, when it claims an exact sum, that sum
+    /// must be bit-identical to the node-order scan. Returns how many ops
+    /// ended with a provable (exact) tally sum.
+    fn drive_tally(ops: &[(u8, u32, usize)], pool: &[f64]) -> Result<usize, TestCaseError> {
+        let mut m = EnergyMeter::new();
+        let mut open: Vec<(GroupId, Vec<NodeId>)> = Vec::new();
+        let mut exact = 0;
+        for (i, &(kind, sel, w)) in ops.iter().enumerate() {
+            let now = SimTime::from_secs(i as f64);
+            let watts = pool[w % pool.len()];
+            let ungrouped = |open: &[(GroupId, Vec<NodeId>)]| -> Vec<NodeId> {
+                (0..NODES)
+                    .filter(|b| sel & (1 << b) != 0)
+                    .map(NodeId)
+                    .filter(|nd| open.iter().all(|(_, g)| !g.contains(nd)))
+                    .collect()
+            };
+            match kind {
+                0 => {
+                    if let Some(&nd) = ungrouped(&open).first() {
+                        m.set_node_watts(nd, now, watts);
+                    }
+                }
+                1 => m.set_alloc_watts(&ungrouped(&open), now, watts),
+                2 => {
+                    let members = ungrouped(&open);
+                    if !members.is_empty() {
+                        open.push((m.open_group(&members, now, watts), members));
+                    }
+                }
+                3 if !open.is_empty() => {
+                    let gid = open[sel as usize % open.len()].0;
+                    m.set_group_watts(gid, now, watts);
+                }
+                4 if !open.is_empty() => {
+                    let (gid, members) = open.swap_remove(sel as usize % open.len());
+                    m.close_group(gid, &members, now, watts);
+                }
+                _ => {
+                    let mut w = epa_simcore::snap::SnapWriter::new();
+                    m.snapshot_into(&mut w);
+                    let bytes = w.finish(1);
+                    let mut r = epa_simcore::snap::SnapReader::open(&bytes, 1).unwrap();
+                    m = EnergyMeter::restore_from(&mut r).unwrap();
+                }
+            }
+            let mut rebuilt = DrawTally::default();
+            for s in m.nodes.iter().filter(|s| s.group == NO_GROUP) {
+                rebuilt.add(s.watts, 1);
+            }
+            let (mut have, mut want) = (m.tally.entries.clone(), rebuilt.entries);
+            have.sort_unstable();
+            want.sort_unstable();
+            prop_assert_eq!(have, want, "tally drifted from the slots after op {}", i);
+            if let Some(sum) = m.tally.exact_sum() {
+                prop_assert_eq!(
+                    sum.to_bits(),
+                    m.ungrouped_scan().to_bits(),
+                    "tally sum {} vs scan {} after op {}",
+                    sum,
+                    m.ungrouped_scan(),
+                    i
+                );
+                exact += 1;
+            }
+        }
+        Ok(exact)
+    }
+
     proptest! {
+        /// Dyadic draws: the tally tracks the slots through every kind of
+        /// update and its exact sum always applies and matches the scan.
+        #[test]
+        fn tally_sum_matches_scan_on_dyadic_draws(
+            ops in proptest::collection::vec((0u8..6, 0u32..256, 0usize..4), 1..120),
+        ) {
+            let exact = drive_tally(&ops, &DYADIC)?;
+            prop_assert_eq!(exact, ops.len());
+        }
+
+        /// Mixed dyadic and non-dyadic draws: whenever the tally claims an
+        /// exact sum it matches the scan bit for bit; otherwise the resync
+        /// scans.
+        #[test]
+        fn tally_sum_matches_scan_on_mixed_draws(
+            ops in proptest::collection::vec((0u8..6, 0u32..256, 0usize..7), 1..120),
+        ) {
+            let pool: Vec<f64> = DYADIC.iter().chain(&NON_DYADIC).copied().collect();
+            drive_tally(&ops, &pool)?;
+        }
+
         /// Energy conservation: the system energy over the full horizon
         /// equals the sum of per-node energies, for arbitrary
         /// time-monotone update sequences.
@@ -1005,10 +1382,11 @@ mod proptests {
             plain.set_alloc_watts(&nodes, SimTime::ZERO, idle);
 
             let start = SimTime::from_secs(dt);
-            let (gid, mark_g) = grouped.open_group(&nodes, start, phases[0]);
+            let mark_g = grouped.alloc_energy_to(&nodes, start);
+            let gid = grouped.open_group(&nodes, start, phases[0]);
             plain.set_alloc_watts(&nodes, start, phases[0]);
             let mark_p = plain.alloc_energy_to(&nodes, start);
-            prop_assert_eq!(mark_g, mark_p);
+            prop_assert_eq!(mark_g.to_bits(), mark_p.to_bits());
 
             let mut clock = dt;
             for w in &phases[1..] {

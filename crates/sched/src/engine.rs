@@ -2794,7 +2794,7 @@ impl<'p> ClusterSim<'p> {
         // One allocation group per running job: phase changes retarget
         // the whole allocation in O(1), and closing the group at job end
         // yields the job's energy directly.
-        let (meter_group, _mark) = self.meter.open_group(&nodes, now, first_watts);
+        let meter_group = self.meter.open_group(&nodes, now, first_watts);
         self.metrics.incr("jobs/started", 1);
         let wait_secs = (now - job.submit).as_secs();
         // The diagnostic registry's exact-percentile distribution keeps

@@ -117,7 +117,7 @@ proptest! {
                     if take > 0 {
                         let members: Vec<NodeId> =
                             pool.drain(..take).map(NodeId).collect();
-                        let (gid, _) = meter.open_group(&members, now, watts);
+                        let gid = meter.open_group(&members, now, watts);
                         open.push((gid, members));
                     }
                 }
