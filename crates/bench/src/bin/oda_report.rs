@@ -97,11 +97,21 @@ fn main() {
             format!("{wait_mean_h:.2}"),
             format!("{depth_mean:.1}"),
         ]);
-        // Sanity link: the outcome's robustness counters come *from* the
-        // obs registry (one source of truth), so the two must agree.
+        // Sanity link: the outcome's counter map *is* the obs registry's
+        // counters (one metrics store), so the two must agree key for key.
         assert_eq!(
             report.outcome.requeues,
             obs.registry.counter("jobs/requeued")
+        );
+        assert!(
+            report
+                .outcome
+                .counters
+                .iter()
+                .map(|(k, &v)| (k.as_str(), v))
+                .eq(obs.registry.counters()),
+            "{}: outcome counters differ from the obs registry",
+            report.key
         );
     }
 

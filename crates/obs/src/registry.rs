@@ -1,8 +1,7 @@
 //! The observability metrics registry: counters, gauges, and fixed-bucket
 //! histograms with Prometheus-text and JSON exposition.
 //!
-//! Two contracts distinguish this from the simcore `MetricsRegistry` (which
-//! remains the engine's raw counter store):
+//! It is the engine's only metrics store; two contracts shape it:
 //!
 //! - **Mergeable.** [`ObsRegistry::merge`] is associative and
 //!   order-independent — counters add, gauges take the max, histogram
@@ -144,9 +143,15 @@ impl ObsRegistry {
         ObsRegistry::default()
     }
 
-    /// Increments counter `name` by `by` (creating it at 0).
+    /// Increments counter `name` by `by` (creating it at 0). The key is
+    /// allocated only on first insert.
     pub fn incr(&mut self, name: &str, by: u64) {
-        *self.counters.entry(name.to_string()).or_insert(0) += by;
+        match self.counters.get_mut(name) {
+            Some(c) => *c += by,
+            None => {
+                self.counters.insert(name.to_owned(), by);
+            }
+        }
     }
 
     /// Reads counter `name` (0 if never incremented).

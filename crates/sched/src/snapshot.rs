@@ -35,8 +35,9 @@ use std::path::Path;
 /// two new wire tags for DR-window events in the global queue); v5
 /// dropped the `shards` section and the local-event counter, moving
 /// phase changes and shutdown completions into the one event queue as
-/// wire tags 10 and 11.
-pub const SNAPSHOT_SCHEMA_VERSION: u32 = 5;
+/// wire tags 10 and 11; v6 dropped the `metrics` section (the engine's
+/// counters travel in the `obs` section's registry).
+pub const SNAPSHOT_SCHEMA_VERSION: u32 = 6;
 
 /// A frozen engine state: an owned, framed, checksummed byte buffer.
 ///

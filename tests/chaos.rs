@@ -168,8 +168,8 @@ fn assert_invariants(out: &SimOutcome, n: u64, seed: u64) {
     );
 
     // Robustness counters come from the obs metrics registry — the one
-    // source of truth — and are folded into both the typed outcome fields
-    // and the legacy counter map; the two views must agree.
+    // metrics store — which feeds both the typed outcome fields and the
+    // outcome's counter map; the two views must agree.
     let c = |k: &str| out.counters.get(k).copied().unwrap_or(0);
     assert_eq!(out.requeues, c("jobs/requeued"), "seed {seed}");
     assert_eq!(
@@ -280,8 +280,8 @@ fn sensor_blackout_triggers_fallback_without_budget_breach() {
         .get("faults/telemetry_stale_ticks")
         .copied()
         .unwrap_or(0);
-    // The typed field is fed by the obs registry; the counter map carries
-    // the same value (one source of truth, two views).
+    // The typed field and the outcome's counter map are both read from
+    // the obs registry (one store, two views).
     assert!(
         out.telemetry_fallbacks > 0,
         "staleness must trigger the fallback"

@@ -21,6 +21,7 @@ use epa_sched::policies::backfill::EasyBackfill;
 use epa_sched::shutdown::ShutdownPolicy;
 use epa_simcore::time::{SimDuration, SimTime};
 use epa_workload::generator::{WorkloadGenerator, WorkloadParams};
+use std::collections::BTreeMap;
 
 fn traced_system() -> System {
     SystemSpec {
@@ -100,7 +101,16 @@ fn trace_header_carries_schema_version() {
 fn outcome_is_unchanged_by_tracing() {
     // The traced run and an untraced run of the same scenario must agree
     // on the outcome bytes: observability is read-only.
-    let traced = serde_json::to_string(&traced_run().0).expect("serializes");
+    let (out, bundle) = traced_run();
+    // One metrics store: the outcome's counter map is the bundle
+    // registry's counters, key for key.
+    let registry_counters: BTreeMap<String, u64> = bundle
+        .registry
+        .counters()
+        .map(|(k, v)| (k.to_owned(), v))
+        .collect();
+    assert_eq!(out.counters, registry_counters);
+    let traced = serde_json::to_string(&out).expect("serializes");
     let untraced = {
         let horizon = SimTime::from_days(2.0);
         let jobs = WorkloadGenerator::new(WorkloadParams::typical(32, 42)).generate(horizon, 0);
