@@ -27,19 +27,12 @@
 //! - [`profile`] — **wall-clock profiling scopes** around engine dispatch,
 //!   allocator, and meter phases. Profiles are *explicitly excluded* from
 //!   golden comparisons: wall time is the one non-deterministic output.
-//! - [`compress`] — a **lossless compressed trace log**: columnar
-//!   delta-compressed chunks with optional spill-to-writer, for
-//!   million-job campaigns that want the whole decision trace without
-//!   the ring's drop-oldest bound. Decoding reproduces the records (and
-//!   their JSONL export) byte-exactly.
 
-pub mod compress;
 pub mod export;
 pub mod profile;
 pub mod registry;
 pub mod trace;
 
-pub use compress::{CompressedTraceLog, TraceLogReader};
 pub use export::{trace_to_jsonl, verify_replay, ReplayDivergence, ReplayReport};
 pub use profile::{ProfileReport, Profiler, Scope};
 pub use registry::{Histogram, ObsRegistry};

@@ -1153,6 +1153,23 @@ mod tests {
     }
 
     #[test]
+    fn readme_mask_list_names_every_category() {
+        let readme = include_str!("../../../README.md");
+        let start = readme
+            .find("Valid mask values:")
+            .expect("README documents the EPA_JSRM_TRACE mask values");
+        let list = &readme[start..];
+        let list = &list[..list.find(". ").expect("the mask list ends with a sentence")];
+        for cat in ALL_CATEGORIES {
+            assert!(
+                list.contains(&format!("`{}`", cat.name())),
+                "README's EPA_JSRM_TRACE mask list omits `{}`",
+                cat.name()
+            );
+        }
+    }
+
+    #[test]
     fn masked_categories_record_nothing() {
         let mut bus = TraceBus::new(CategoryMask::NONE.with(TraceCategory::Budget), 16);
         bus.record(t(1.0), ev(1)); // Job: masked off

@@ -290,8 +290,7 @@ impl EnergyMeter {
     /// matter how many power steps the run makes. Whole-run queries
     /// (energy, peak, average over `[0, end]`, and
     /// [`power_trace_rows`](Self::power_trace_rows) at exactly `grid_dt`)
-    /// are bit-identical to full mode; [`system_trace`](Self::system_trace)
-    /// and arbitrary-window queries panic.
+    /// are bit-identical to full mode; arbitrary-window queries panic.
     #[must_use]
     pub fn with_bounded_trace(grid_dt: SimDuration) -> Self {
         EnergyMeter {
@@ -699,27 +698,11 @@ impl EnergyMeter {
         }
     }
 
-    /// The system power trace (for telemetry, peak analysis, reports).
-    ///
-    /// # Panics
-    /// Panics in bounded-trace mode — the raw change-point series is not
-    /// retained there; use [`power_trace_rows`](Self::power_trace_rows).
-    #[must_use]
-    pub fn system_trace(&self) -> &TimeSeries {
-        match &self.system_trace {
-            TraceStore::Full(s) => s,
-            TraceStore::Bounded(_) => panic!(
-                "raw system trace unavailable in bounded mode; \
-                 use power_trace_rows for the gridded trace"
-            ),
-        }
-    }
-
     /// The system power trace resampled on a fixed grid over `[a, b]` —
     /// the rows the engine exports in its outcome. In bounded-trace mode
     /// `a` must be zero and `dt` must equal the meter's grid interval;
-    /// the result is bit-identical to full mode's
-    /// `system_trace().resample(a, b, dt)`.
+    /// the result is bit-identical to full mode's resample of the raw
+    /// change-point trace.
     #[must_use]
     pub fn power_trace_rows(&self, a: SimTime, b: SimTime, dt: SimDuration) -> Vec<(SimTime, f64)> {
         match &self.system_trace {
@@ -874,7 +857,11 @@ mod tests {
         let mut m = EnergyMeter::new();
         m.set_alloc_watts(&[], t(0.0), 100.0);
         assert_eq!(m.system_watts(), 0.0);
-        assert!(m.system_trace().is_empty());
+        let dt = SimDuration::from_mins(5.0);
+        assert_eq!(
+            m.power_trace_rows(SimTime::ZERO, t(600.0), dt),
+            EnergyMeter::new().power_trace_rows(SimTime::ZERO, t(600.0), dt)
+        );
     }
 
     #[test]
@@ -1039,10 +1026,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "raw system trace unavailable in bounded mode")]
-    fn bounded_trace_raw_access_panics() {
-        let m = EnergyMeter::with_bounded_trace(epa_simcore::time::SimDuration::from_mins(5.0));
-        let _ = m.system_trace();
+    #[should_panic(expected = "bounded trace resamples at its own grid interval only")]
+    fn bounded_trace_off_grid_resample_panics() {
+        let m = EnergyMeter::with_bounded_trace(SimDuration::from_mins(5.0));
+        let _ = m.power_trace_rows(SimTime::ZERO, t(600.0), SimDuration::from_mins(1.0));
     }
 
     /// Resyncs `m` once and returns the change in `(exact, scanned)`

@@ -112,8 +112,8 @@ pub struct EngineConfig {
     pub retain_completed: bool,
     /// Store the system power trace in bounded (segment-accumulator)
     /// form instead of the full point list. The outcome's energy, peak,
-    /// average, and 5-minute `power_trace` stay byte-identical; raw
-    /// trace access ([`ClusterSim::meter`] → `system_trace`) panics.
+    /// average, and 5-minute `power_trace` stay byte-identical; meter
+    /// queries panic unless whole-run and on the trace's grid.
     pub bounded_power_trace: bool,
     /// Facility digital twin: price/carbon traces, demand-response
     /// contract, cooling loop. `None` (the default) leaves every code

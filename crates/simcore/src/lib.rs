@@ -21,11 +21,8 @@
 //! - [`snap`] — versioned, checksummed binary snapshot codec (resumable
 //!   runs).
 
-pub mod chunk;
 pub mod engine;
-pub mod error;
 pub mod event;
-pub mod quantile;
 pub mod rng;
 pub mod series;
 pub mod snap;
@@ -33,9 +30,7 @@ pub mod stats;
 pub mod time;
 
 pub use engine::Simulation;
-pub use error::SimError;
 pub use event::EventQueue;
-pub use quantile::P2Quantile;
 pub use rng::SimRng;
 pub use series::{BoundedSeries, TimeSeries};
 pub use snap::{SnapReader, SnapWriter, SnapshotError};

@@ -3,9 +3,10 @@
 //! A full-system reproduction of *"Energy and Power Aware Job Scheduling
 //! and Resource Management: Global Survey — Initial Analysis"* (Maiterth
 //! et al., IPDPSW 2018): a discrete-event HPC cluster simulation framework
-//! in which every EPA JSRM technique the survey catalogues is a working
-//! implementation, the nine surveyed centers are runnable site models, and
-//! the paper's tables and figures are regenerated from simulation.
+//! in which the survey's EPA JSRM scheduling and power-management
+//! techniques run as engine policies, the nine surveyed centers are
+//! runnable site models, and the paper's tables and figures are
+//! regenerated from simulation.
 //!
 //! This crate is the facade: it re-exports the workspace's layers under
 //! one namespace and hosts the runnable examples and cross-crate
@@ -21,7 +22,7 @@
 //! assert!(report.outcome.completed > 0);
 //! ```
 
-/// Simulation kernel: events, time, RNG, statistics.
+/// Simulation kernel: events, time, RNG, statistics, snapshot codec.
 pub use epa_simcore as simcore;
 
 /// Machine model: nodes, topologies, allocators, facility layout.
@@ -43,7 +44,7 @@ pub use epa_sched as sched;
 /// loop, follow-the-renewables federation.
 pub use epa_grid as grid;
 
-/// Resource management: state machines, actuators, monitoring, reports.
+/// Resource management: actuators, interaction ledger, energy reports.
 pub use epa_rm as rm;
 
 /// Deterministic fault model: correlated failure domains, sensor and
